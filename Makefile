@@ -15,10 +15,14 @@ race:
 
 # Race-detect just the scheduler hot paths (work stealing, deques,
 # shared sched plumbing, the futures join paths the help-first work
-# leans on, and the shard resolver's routing/drain machinery) — the
-# focused loop for partitioner and balancer work.
+# leans on, the shard resolver's routing/drain machinery, the team
+# runtime behind its goroutine adapter, and the models over all of
+# them) — the focused loop for partitioner and balancer work. Runs at
+# GOMAXPROCS 1, 2 and 4, like CI's sched-race matrix.
+RACE_SCHED_PKGS = ./internal/worksteal/... ./internal/deque/... ./internal/sched/... ./internal/futures/... ./internal/shard/... ./internal/forkjoin/... ./internal/models/...
+
 race-sched:
-	$(GO) test -race -count=2 ./internal/worksteal/... ./internal/deque/... ./internal/sched/... ./internal/futures/... ./internal/shard/...
+	for p in 1 2 4; do GOMAXPROCS=$$p $(GO) test -race -count=2 $(RACE_SCHED_PKGS) || exit 1; done
 
 vet:
 	$(GO) vet ./...

@@ -40,8 +40,9 @@ func shardable(name string) bool {
 // model's family, while distribution across shards is the resolver's.
 //
 // Sharded models are loop models: recursive task parallelism would
-// need cross-shard joins, which the resolver deliberately does not
-// provide (a task tree routes whole to one shard via SubmitCtx).
+// need cross-shard joins of arbitrary tasks, which the resolver
+// deliberately does not provide — it joins only a loop's parts (a task
+// tree routes whole to one shard via SubmitCtx).
 type sharded struct {
 	res     *shard.Resolver
 	name    string

@@ -1,6 +1,7 @@
 package models
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"threading/internal/tracez"
@@ -15,13 +16,20 @@ func TestWithTracerReachesEveryModel(t *testing.T) {
 			tr := tracez.New(1 << 12)
 			m := MustNew(name, 2, WithTracer(tr))
 			defer m.Close()
-			var total int64
+			var total atomic.Int64
 			m.ParallelFor(256, func(lo, hi int) {
 				// Touch the range so chunk bodies are not optimized away.
+				// Chunks run concurrently, so each sums into a local and
+				// publishes it once.
+				n := int64(0)
 				for i := lo; i < hi; i++ {
-					total++
+					n++
 				}
+				total.Add(n)
 			})
+			if total.Load() != 256 {
+				t.Fatalf("%s covered %d iterations, want 256", name, total.Load())
+			}
 			snap := tr.Snapshot()
 			events := 0
 			for _, wt := range snap.Workers {

@@ -62,3 +62,12 @@ func (g *AsyncGroup) Wait() error {
 	g.err = nil
 	return err
 }
+
+// Join is the completion handle of a loop region started without
+// blocking (shard.Starter). Wait blocks until the region has completed
+// and returns its reduction value and first failure: the identity on
+// failure, and 0 for a loop without a reduction. Wait must be called
+// exactly once.
+type Join interface {
+	Wait() (float64, error)
+}

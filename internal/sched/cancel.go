@@ -49,11 +49,11 @@ func (e *PanicError) Format(f fmt.State, verb rune) {
 
 // Region is the cancellation and failure state of one blocking
 // parallel operation (a parallel region, a pool run, a pipeline run, a
-// target region). It converts a context.Context — a channel-based
-// protocol too expensive to poll on a per-chunk basis — into a single
-// atomic flag the runtimes check at chunk and task boundaries, so
-// every threading model pays the same (one-load) cancellation cost and
-// cross-model timings remain comparable.
+// target region). It folds a context.Context and the operation's own
+// failures into one Canceled poll the runtimes make at chunk and task
+// boundaries, so every threading model pays the same cancellation cost
+// and cross-model timings remain comparable. No goroutine watches the
+// context: the poll itself notices a closed Done channel.
 //
 // A Region records the first failure (context error or recovered
 // panic) and trips the canceled flag; later failures are dropped, so
@@ -65,10 +65,10 @@ type Region struct {
 	mu  sync.Mutex
 	err error
 
-	ctx      context.Context
-	stop     chan struct{}
-	stopOnce sync.Once
-	watched  bool
+	// ctx and done are set only for a context that can be canceled;
+	// done is ctx.Done(), read once at creation.
+	ctx  context.Context
+	done <-chan struct{}
 
 	// traceID is the request id carried by the region's context (see
 	// WithRequestID), captured once at region creation so the worker
@@ -77,11 +77,10 @@ type Region struct {
 	traceID int64
 }
 
-// NewRegion returns a region bound to ctx. For a context that can
-// never be canceled (context.Background, context.TODO, or nil) no
-// watcher goroutine is started and Canceled only ever reports true
-// after a failure is recorded — the legacy entry points therefore add
-// no per-call goroutine.
+// NewRegion returns a region bound to ctx. It starts no goroutine, for
+// any context. For a context that can never be canceled
+// (context.Background, context.TODO, or nil) Canceled only ever
+// reports true after a failure is recorded.
 func NewRegion(ctx context.Context) *Region {
 	r := &Region{}
 	if ctx == nil {
@@ -95,21 +94,11 @@ func NewRegion(ctx context.Context) *Region {
 	if done == nil {
 		return r
 	}
-	r.ctx = ctx
+	r.ctx, r.done = ctx, done
 	if err := expired(ctx); err != nil {
-		// Already expired: trip synchronously, no watcher needed.
+		// Already expired: trip synchronously.
 		r.fail(err)
-		return r
 	}
-	r.stop = make(chan struct{})
-	r.watched = true
-	go func() {
-		select {
-		case <-done:
-			r.fail(ctx.Err())
-		case <-r.stop:
-		}
-	}()
 	return r
 }
 
@@ -124,9 +113,31 @@ func (r *Region) TraceID() int64 {
 }
 
 // Canceled reports whether the region has been canceled — by its
-// context or by a recorded failure. It is a single atomic load, cheap
-// enough for per-chunk polling in scheduler inner loops.
-func (r *Region) Canceled() bool { return r.canceled.Load() }
+// context or by a recorded failure. For a context that can never be
+// canceled it is a single atomic load. For a cancelable one it adds a
+// non-blocking receive on the context's Done channel, and the first
+// poll that finds the channel closed records ctx.Err() as the
+// region's failure. Either way it is cheap enough for per-chunk
+// polling in scheduler inner loops, and a cancellation is observed at
+// the next chunk or task boundary that polls.
+func (r *Region) Canceled() bool {
+	if r.canceled.Load() {
+		return true
+	}
+	return r.done != nil && r.pollDone()
+}
+
+// pollDone is Canceled's check of a cancelable context, kept out of
+// line so Canceled itself stays small enough to inline.
+func (r *Region) pollDone() bool {
+	select {
+	case <-r.done:
+		r.fail(r.ctx.Err())
+		return true
+	default:
+		return false
+	}
+}
 
 // fail records err as the region's failure if it is the first, and
 // trips the canceled flag either way.
@@ -164,14 +175,12 @@ func (r *Region) Err() error {
 	return r.err
 }
 
-// Finish releases the context watcher (if any) and returns the first
-// recorded failure. A context that was canceled before Finish is
-// reported even if the watcher goroutine has not run yet, so callers
-// deterministically observe the cancellation. Finish is idempotent.
+// Finish returns the first recorded failure. A context that was
+// canceled before Finish is reported even if no poll observed it, so
+// callers deterministically observe the cancellation; so is a deadline
+// that has passed on the wall clock before its timer fired. Finish is
+// idempotent.
 func (r *Region) Finish() error {
-	if r.watched {
-		r.stopOnce.Do(func() { close(r.stop) })
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.err == nil && r.ctx != nil {

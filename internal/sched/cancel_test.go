@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -40,6 +41,10 @@ func TestRegionObservesCancel(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+	// The observing poll recorded the error; Finish only reads it.
+	if err := r.Err(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Err after poll = %v, want context.Canceled", err)
+	}
 	if err := r.Finish(); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Finish = %v, want context.Canceled", err)
 	}
@@ -67,6 +72,9 @@ func TestRegionDeadline(t *testing.T) {
 			t.Fatal("deadline never tripped the region")
 		}
 		time.Sleep(time.Millisecond)
+	}
+	if err := r.Err(); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Err after poll = %v, want context.DeadlineExceeded", err)
 	}
 	if err := r.Finish(); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("Finish = %v, want context.DeadlineExceeded", err)
@@ -146,7 +154,7 @@ func TestRegionObservesDeadlineWithoutTimer(t *testing.T) {
 		t.Fatal("fixture must look uncanceled to the channel protocol")
 	}
 	// Done is nil here, so the region takes the value-only fast path;
-	// wrap in a cancelable parent to force the watched path instead.
+	// wrap in a cancelable parent to force the polled path instead.
 	parent, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	r := NewRegion(stuckTimerCtx{parent, time.Now().Add(-time.Second)})
@@ -164,5 +172,46 @@ func TestRegionObservesDeadlineWithoutTimer(t *testing.T) {
 	}
 	if err := r.Finish(); err != nil {
 		t.Fatalf("Finish = %v, want nil", err)
+	}
+}
+
+// TestRegionFinishReportsUnpolledCancel: a cancel that lands after the
+// last poll (or in a region that never polls) is still the region's
+// result.
+func TestRegionFinishReportsUnpolledCancel(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	r := NewRegion(ctx)
+	if r.Canceled() {
+		t.Fatal("canceled before cancel")
+	}
+	cancel()
+	if err := r.Finish(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Finish = %v, want context.Canceled", err)
+	}
+	if !r.Canceled() {
+		t.Fatal("Finish recorded the cancel but left the flag clear")
+	}
+}
+
+// TestRegionStartsNoGoroutine pins that binding a region to a
+// cancelable context costs no goroutine, Finished or not.
+func TestRegionStartsNoGoroutine(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
+	defer cancel()
+	before := runtime.NumGoroutine()
+	regions := make([]*Region, 1000)
+	for i := range regions {
+		regions[i] = NewRegion(ctx)
+		if i%2 == 0 {
+			regions[i].Finish()
+		}
+	}
+	if after := runtime.NumGoroutine(); after > before+5 {
+		t.Fatalf("1000 regions on a cancelable context grew the goroutine count from %d to %d", before, after)
+	}
+	for _, r := range regions {
+		if r.Canceled() {
+			t.Fatal("live region reports canceled")
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 	"time"
 
@@ -45,7 +46,7 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 // By the time a 504 is written the request's region has drained —
 // ParallelForCtx does not return before its chunks stop — so the
 // runtime is reusable immediately.
-func (s *Server) instrumented(name string, fn func(ctx context.Context, r *http.Request) (Response, error)) http.Handler {
+func (s *Server) instrumented(name string, fn func(ctx context.Context, q url.Values) (Response, error)) http.Handler {
 	// Telemetry series are resolved once, at registration; the request
 	// path below touches them without registry lookups. Both stay nil
 	// when metrics are off.
@@ -68,8 +69,11 @@ func (s *Server) instrumented(name string, fn func(ctx context.Context, r *http.
 		}
 		defer s.release()
 
+		// The query is parsed once here; the handler reads the same
+		// values.
+		q := r.URL.Query()
 		timeout := s.cfg.Timeout
-		if ms, ok, err := queryInt(r, "timeout_ms"); err != nil {
+		if ms, ok, err := queryInt(q, "timeout_ms"); err != nil {
 			writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 			return
 		} else if ok && ms > 0 {
@@ -98,7 +102,7 @@ func (s *Server) instrumented(name string, fn func(ctx context.Context, r *http.
 		}
 
 		start := time.Now()
-		resp, err := fn(ctx, r)
+		resp, err := fn(ctx, q)
 		resp.NS = time.Since(start).Nanoseconds()
 		if latency != nil {
 			latency.Observe(resp.NS)
@@ -122,8 +126,8 @@ func (s *Server) instrumented(name string, fn func(ctx context.Context, r *http.
 }
 
 // queryInt parses an optional integer query parameter.
-func queryInt(r *http.Request, key string) (int, bool, error) {
-	v := r.URL.Query().Get(key)
+func queryInt(q url.Values, key string) (int, bool, error) {
+	v := q.Get(key)
 	if v == "" {
 		return 0, false, nil
 	}
@@ -135,17 +139,17 @@ func queryInt(r *http.Request, key string) (int, bool, error) {
 }
 
 // parseKernelReq reads the shared kernel parameters.
-func parseKernelReq(r *http.Request) (kernelReq, error) {
-	req := kernelReq{kernel: r.URL.Query().Get("kernel")}
+func parseKernelReq(q url.Values) (kernelReq, error) {
+	req := kernelReq{kernel: q.Get("kernel")}
 	if req.kernel == "" {
 		req.kernel = "sum"
 	}
-	if n, ok, err := queryInt(r, "n"); err != nil {
+	if n, ok, err := queryInt(q, "n"); err != nil {
 		return req, err
 	} else if ok {
 		req.n = n
 	}
-	if rows, ok, err := queryInt(r, "rows"); err != nil {
+	if rows, ok, err := queryInt(q, "rows"); err != nil {
 		return req, err
 	} else if ok {
 		req.rows = rows
@@ -167,8 +171,8 @@ func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleRun executes one kernel under the request deadline.
-func (s *Server) handleRun(ctx context.Context, r *http.Request) (Response, error) {
-	req, err := parseKernelReq(r)
+func (s *Server) handleRun(ctx context.Context, q url.Values) (Response, error) {
+	req, err := parseKernelReq(q)
 	if err != nil {
 		return Response{}, err
 	}
@@ -184,9 +188,9 @@ func (s *Server) handleRun(ctx context.Context, r *http.Request) (Response, erro
 // ForkJoin shape: launch everything, then read every response). Each
 // part is an independent executor submission, so parts of one request
 // compete with other requests under the same balancer/steal policy.
-func (s *Server) handleFanout(ctx context.Context, r *http.Request) (Response, error) {
+func (s *Server) handleFanout(ctx context.Context, q url.Values) (Response, error) {
 	ways := 4
-	if k, ok, err := queryInt(r, "ways"); err != nil {
+	if k, ok, err := queryInt(q, "ways"); err != nil {
 		return Response{}, err
 	} else if ok {
 		if k < 1 || k > 64 {
@@ -218,8 +222,8 @@ func (s *Server) handleFanout(ctx context.Context, r *http.Request) (Response, e
 // primary has not finished within ?hedge_ms (default Config.Hedge),
 // a duplicate launches and the first to finish wins; the loser is
 // canceled and drained before the response is written.
-func (s *Server) handleHedged(ctx context.Context, r *http.Request) (Response, error) {
-	req, err := parseKernelReq(r)
+func (s *Server) handleHedged(ctx context.Context, q url.Values) (Response, error) {
+	req, err := parseKernelReq(q)
 	if err != nil {
 		return Response{}, err
 	}
@@ -227,7 +231,7 @@ func (s *Server) handleHedged(ctx context.Context, r *http.Request) (Response, e
 		return Response{}, fmt.Errorf("%w: %v", errBadRequest, err)
 	}
 	delay := s.cfg.Hedge
-	if ms, ok, err := queryInt(r, "hedge_ms"); err != nil {
+	if ms, ok, err := queryInt(q, "hedge_ms"); err != nil {
 		return Response{}, err
 	} else if ok {
 		delay = time.Duration(ms) * time.Millisecond

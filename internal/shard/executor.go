@@ -15,8 +15,10 @@ package shard
 
 import (
 	"context"
+	"sync"
 
 	"threading/internal/forkjoin"
+	"threading/internal/sched"
 	"threading/internal/worksteal"
 )
 
@@ -61,6 +63,60 @@ type PendingWorker interface {
 	PendingWork() int64
 }
 
+// Starter is the optional split-phase form of an Executor's loop
+// regions: StartForCtx and StartReduceCtx begin the region
+// ParallelForCtx or ParallelReduceCtx would run, return without
+// waiting for it, and hand back a join handle whose Wait blocks until
+// it completes and reports what the blocking call would have
+// returned. The Resolver starts every part but the caller's own this
+// way. worksteal.Pool implements it natively, without a goroutine; New
+// gives any other executor the goroutine adapter.
+type Starter interface {
+	StartForCtx(ctx context.Context, lo, hi, grain int, body func(l, h int)) sched.Join
+	StartReduceCtx(ctx context.Context, lo, hi, grain int, identity float64,
+		body func(l, h int, acc float64) float64,
+		combine func(a, b float64) float64) sched.Join
+}
+
+// goStarter adapts an executor without a native Starter: each start
+// runs the blocking call on a fresh goroutine, and Wait joins it.
+type goStarter struct{ ex Executor }
+
+// goJoin is the join handle of one goStarter start.
+type goJoin struct {
+	wg  sync.WaitGroup
+	v   float64
+	err error
+}
+
+func (j *goJoin) Wait() (float64, error) {
+	j.wg.Wait()
+	return j.v, j.err
+}
+
+func (g goStarter) StartForCtx(ctx context.Context, lo, hi, grain int, body func(l, h int)) sched.Join {
+	j := &goJoin{}
+	j.wg.Add(1)
+	go func() {
+		defer j.wg.Done()
+		j.err = g.ex.ParallelForCtx(ctx, lo, hi, grain, body)
+	}()
+	return j
+}
+
+func (g goStarter) StartReduceCtx(ctx context.Context, lo, hi, grain int, identity float64,
+	body func(l, h int, acc float64) float64,
+	combine func(a, b float64) float64) sched.Join {
+
+	j := &goJoin{}
+	j.wg.Add(1)
+	go func() {
+		defer j.wg.Done()
+		j.v, j.err = g.ex.ParallelReduceCtx(ctx, lo, hi, grain, identity, body, combine)
+	}()
+	return j
+}
+
 // The three executors of the tentpole contract.
 var (
 	_ Executor = (*worksteal.Pool)(nil)
@@ -70,4 +126,7 @@ var (
 	_ PendingWorker = (*worksteal.Pool)(nil)
 	_ PendingWorker = (*forkjoin.Team)(nil)
 	_ PendingWorker = (*Resolver)(nil)
+
+	_ Starter = (*worksteal.Pool)(nil)
+	_ Starter = goStarter{}
 )

@@ -26,13 +26,22 @@ var ErrClosed = errors.New("shard: resolver is closed")
 // by the balancer-facing slices, so unpadded counters of neighbouring
 // shards (and the id/exec words every acquire reads) would false-share.
 type handle struct {
-	id   int
-	exec Executor
+	id    int
+	exec  Executor
+	start Starter // exec itself, or the goroutine adapter around it
 
 	_        [sched.CacheLine]byte
 	inflight atomic.Int64
 	_        [sched.CacheLine - 8]byte
 	retired  atomic.Bool
+}
+
+func newHandle(id int, e Executor) *handle {
+	st, ok := e.(Starter)
+	if !ok {
+		st = goStarter{e}
+	}
+	return &handle{id: id, exec: e, start: st}
 }
 
 // load is the signal the least-loaded balancer reads: assigned-but-
@@ -45,6 +54,20 @@ func (h *handle) load() int64 {
 	return l
 }
 
+// shardSet is one immutable version of the routing set. load is the
+// balancer's probe over hs, built once per version so a dispatch hands
+// the balancer a probe without allocating one.
+type shardSet struct {
+	hs   []*handle
+	load func(int) int64
+}
+
+func newShardSet(hs []*handle) *shardSet {
+	s := &shardSet{hs: hs}
+	s.load = func(j int) int64 { return s.hs[j].load() }
+	return s
+}
+
 // Resolver routes work across a mutable set of shards. It implements
 // Executor, so callers written against the interface are oblivious to
 // sharding: a ParallelForCtx splits the range into one contiguous part
@@ -55,11 +78,14 @@ func (h *handle) load() int64 {
 // The Resolver owns its shards: Close (and Drain, for one shard)
 // quiesces and closes them. Construct with New.
 type Resolver struct {
+	// set is the routing set, copy-on-write: dispatches read it with
+	// one atomic load, mutations (serialized by mu) store a new
+	// version. It is nil once the Resolver is closed.
+	set    atomic.Pointer[shardSet]
 	mu     sync.Mutex
-	live   []*handle // copy-on-write: mutations replace the slice
 	nextID int
 	bal    Balancer
-	closed bool
+	affine bool // bal routes by submitter key, so compute it per call
 
 	async sched.AsyncGroup // in-flight SubmitCtx tasks, joined by Quiesce
 }
@@ -86,7 +112,8 @@ func WithBalancer(b Balancer) Option {
 }
 
 // New returns a Resolver routing across the shards given via
-// WithShards, which must supply at least one.
+// WithShards, which must supply at least one. Shards whose executor
+// does not implement Starter get a goroutine adapter.
 func New(opts ...Option) (*Resolver, error) {
 	var cfg config
 	for _, o := range opts {
@@ -98,66 +125,76 @@ func New(opts ...Option) (*Resolver, error) {
 	if cfg.bal == nil {
 		cfg.bal = RoundRobin()
 	}
-	r := &Resolver{bal: cfg.bal}
+	_, affine := cfg.bal.(affinity)
+	r := &Resolver{bal: cfg.bal, affine: affine}
+	hs := make([]*handle, 0, len(cfg.shards))
 	for _, e := range cfg.shards {
-		r.live = append(r.live, &handle{id: r.nextID, exec: e})
+		hs = append(hs, newHandle(r.nextID, e))
 		r.nextID++
 	}
+	r.set.Store(newShardSet(hs))
 	return r, nil
 }
 
 // BalancerName reports the name of the configured balancer.
 func (r *Resolver) BalancerName() string { return r.bal.Name() }
 
+// shards returns the current routing set, empty once closed.
+func (r *Resolver) shards() []*handle {
+	if s := r.set.Load(); s != nil {
+		return s.hs
+	}
+	return nil
+}
+
 // Shards returns the ids of the currently routable shards, in routing
 // order.
 func (r *Resolver) Shards() []int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	ids := make([]int, len(r.live))
-	for i, h := range r.live {
+	hs := r.shards()
+	ids := make([]int, len(hs))
+	for i, h := range hs {
 		ids[i] = h.id
 	}
 	return ids
 }
 
 // NumShards reports the number of currently routable shards.
-func (r *Resolver) NumShards() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.live)
-}
+func (r *Resolver) NumShards() int { return len(r.shards()) }
 
 // AddShard adds a shard to the routing set and returns its id. The
 // Resolver takes ownership of the executor.
 func (r *Resolver) AddShard(e Executor) (int, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.closed {
+	cur := r.set.Load()
+	if cur == nil {
 		return 0, ErrClosed
 	}
 	id := r.nextID
 	r.nextID++
-	live := make([]*handle, 0, len(r.live)+1)
-	live = append(live, r.live...)
-	live = append(live, &handle{id: id, exec: e})
-	r.live = live
+	hs := make([]*handle, 0, len(cur.hs)+1)
+	hs = append(hs, cur.hs...)
+	hs = append(hs, newHandle(id, e))
+	r.set.Store(newShardSet(hs))
 	return id, nil
 }
 
 // Drain removes shard id from routing, waits for every dispatch
 // already assigned to it (and every task submitted directly to it) to
-// complete, then closes it — retirement without dropping work. The
-// last shard cannot be drained. Drain returns the shard's first
-// quiesce failure, if any.
+// complete, then closes it — retirement without dropping work. A
+// dispatch stays assigned until its part has been joined, so a part
+// that has started but not yet joined holds the drain. The last shard
+// cannot be drained. Drain returns the shard's first quiesce failure,
+// if any.
 func (r *Resolver) Drain(id int) error {
 	r.mu.Lock()
-	if r.closed {
+	cur := r.set.Load()
+	if cur == nil {
 		r.mu.Unlock()
 		return ErrClosed
 	}
 	idx := -1
-	for i, h := range r.live {
+	for i, h := range cur.hs {
 		if h.id == id {
 			idx = i
 			break
@@ -167,15 +204,15 @@ func (r *Resolver) Drain(id int) error {
 		r.mu.Unlock()
 		return fmt.Errorf("shard: no routable shard %d", id)
 	}
-	if len(r.live) == 1 {
+	if len(cur.hs) == 1 {
 		r.mu.Unlock()
 		return errors.New("shard: cannot drain the last shard")
 	}
-	h := r.live[idx]
-	live := make([]*handle, 0, len(r.live)-1)
-	live = append(live, r.live[:idx]...)
-	live = append(live, r.live[idx+1:]...)
-	r.live = live
+	h := cur.hs[idx]
+	hs := make([]*handle, 0, len(cur.hs)-1)
+	hs = append(hs, cur.hs[:idx]...)
+	hs = append(hs, cur.hs[idx+1:]...)
+	r.set.Store(newShardSet(hs))
 	h.retired.Store(true)
 	r.mu.Unlock()
 	waitIdle(h)
@@ -198,42 +235,49 @@ func waitIdle(h *handle) {
 }
 
 // routable returns the current routing set.
-func (r *Resolver) routable() ([]*handle, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
+func (r *Resolver) routable() (*shardSet, error) {
+	s := r.set.Load()
+	if s == nil || len(s.hs) == 0 {
 		return nil, ErrClosed
 	}
-	return r.live, nil
+	return s, nil
 }
 
-// acquire picks a shard through the balancer and reserves one dispatch
-// on it, retrying if the pick raced a Drain.
-func (r *Resolver) acquire(key func() uint64) (*handle, error) {
+// key returns the submitter key the balancer is handed: memoized per
+// call for the affinity balancer, which reads it, and otherwise the
+// unmemoized goroutineID, which no built-in balancer calls — so only
+// affinity pays for the closure.
+func (r *Resolver) key() func() uint64 {
+	if r.affine {
+		return submitterKey()
+	}
+	return goroutineID
+}
+
+// acquire picks a shard of s through the balancer and reserves one
+// dispatch on it. Only a pick that raced a Drain reloads the routing
+// set and picks again.
+func (r *Resolver) acquire(s *shardSet, key func() uint64) (*handle, error) {
 	for {
-		shards, err := r.routable()
-		if err != nil {
-			return nil, err
-		}
-		if len(shards) == 0 {
-			return nil, ErrClosed
-		}
 		i := 0
-		if len(shards) > 1 {
-			i = r.bal.Pick(len(shards), func(j int) int64 { return shards[j].load() }, key)
-			if i < 0 || i >= len(shards) {
+		if len(s.hs) > 1 {
+			i = r.bal.Pick(len(s.hs), s.load, key)
+			if i < 0 || i >= len(s.hs) {
 				i = 0
 			}
 		}
-		h := shards[i]
+		h := s.hs[i]
 		h.inflight.Add(1)
-		if h.retired.Load() {
-			// Raced a Drain between snapshot and reservation; the
-			// drainer is waiting on inflight, so back out and repick.
-			h.inflight.Add(-1)
-			continue
+		if !h.retired.Load() {
+			return h, nil
 		}
-		return h, nil
+		// Raced a Drain between snapshot and reservation; the drainer
+		// is waiting on inflight, so back out and repick.
+		h.inflight.Add(-1)
+		var err error
+		if s, err = r.routable(); err != nil {
+			return nil, err
+		}
 	}
 }
 
@@ -241,18 +285,14 @@ func (r *Resolver) acquire(key func() uint64) (*handle, error) {
 func release(h *handle) { h.inflight.Add(-1) }
 
 // parts returns how many contiguous parts an n-iteration loop should
-// split into: one per routable shard, capped by the iteration count.
-func (r *Resolver) parts(n int) int {
-	r.mu.Lock()
-	k := len(r.live)
-	r.mu.Unlock()
-	if k > n {
-		k = n
+// split into across shards: one per shard, capped by the iteration
+// count and, for grain > 0, so that no part drops below grain.
+func parts(n, grain, shards int) int {
+	k := min(shards, n)
+	if grain > 0 {
+		k = min(k, n/grain)
 	}
-	if k < 1 {
-		k = 1
-	}
-	return k
+	return max(k, 1)
 }
 
 // cut returns part i of [lo, hi) split into parts near-equal
@@ -273,84 +313,90 @@ func cut(lo, hi, parts, i int) (int, int) {
 	return start, end
 }
 
-// acquireParts reserves one shard per part up front, so a least-loaded
-// balancer sees the tentative load of the parts already placed and
-// spreads the remainder.
-func (r *Resolver) acquireParts(parts int, key func() uint64) ([]*handle, error) {
-	handles := make([]*handle, parts)
-	for i := range handles {
-		h, err := r.acquire(key)
+// inlineParts is the part count up to which a region keeps its
+// handles and join handles in stack arrays rather than heap slices.
+// The arrays sit in the frame the caller's own part runs under, so
+// they are kept small: every byte of that frame deepens the stack of
+// the request goroutine that runs part 0.
+const inlineParts = 4
+
+// acquireParts reserves one shard per part of an n-iteration loop,
+// appending the handles to dst. Reserving every part up front lets a
+// least-loaded balancer see the tentative load of the parts already
+// placed and spread the remainder.
+func (r *Resolver) acquireParts(dst []*handle, n, grain int) ([]*handle, error) {
+	s, err := r.routable()
+	if err != nil {
+		return nil, err
+	}
+	key := r.key()
+	k := parts(n, grain, len(s.hs))
+	for i := 0; i < k; i++ {
+		h, err := r.acquire(s, key)
 		if err != nil {
-			for _, a := range handles[:i] {
+			for _, a := range dst {
 				release(a)
 			}
 			return nil, err
 		}
-		handles[i] = h
+		dst = append(dst, h)
 	}
-	return handles, nil
+	return dst, nil
 }
 
-// firstErr collects the first failure across concurrent part
-// dispatches.
-type firstErr struct {
-	mu  sync.Mutex
-	err error
-}
-
-func (f *firstErr) record(err error) {
-	if err == nil {
-		return
+// joinParts waits for the started parts 1..k-1 in order, returning
+// each part's reservation as its join returns, and hands each part's
+// value to fold. It returns err, the caller's own part's failure, if
+// set, else the first failure in part order.
+func joinParts(hs []*handle, joins []sched.Join, err error, fold func(v float64)) error {
+	for i, j := range joins {
+		v, jerr := j.Wait()
+		release(hs[i+1])
+		fold(v)
+		if err == nil {
+			err = jerr
+		}
 	}
-	f.mu.Lock()
-	if f.err == nil {
-		f.err = err
-	}
-	f.mu.Unlock()
+	return err
 }
 
 // ParallelForCtx splits [lo, hi) into one contiguous part per routable
 // shard, dispatches the parts concurrently through the balancer, and
 // blocks until all complete. Under the affinity balancer every part
 // routes to the submitter's shard, trading spread for locality.
+//
+// Every region takes one path, whatever its shards are: parts 1..k-1
+// are started on their shards (Starter), part 0 runs inline on the
+// caller — keeping the submitter on the help-first path of its own
+// shard — and the started parts are then joined in order, each join
+// help-first on its own shard where the executor supports it. Every
+// reservation is held until its part has been joined. The error is
+// the first failure in part order.
 func (r *Resolver) ParallelForCtx(ctx context.Context, lo, hi, grain int, body func(l, h int)) error {
 	if lo >= hi {
 		return ctx.Err()
 	}
-	key := submitterKey()
-	parts := r.parts(hi - lo)
-	handles, err := r.acquireParts(parts, key)
+	var hbuf [inlineParts]*handle
+	hs, err := r.acquireParts(hbuf[:0], hi-lo, grain)
 	if err != nil {
 		return err
 	}
-	if parts == 1 {
-		defer release(handles[0])
-		return handles[0].exec.ParallelForCtx(ctx, lo, hi, grain, body)
+	var jbuf [inlineParts - 1]sched.Join
+	joins := jbuf[:0]
+	for i := 1; i < len(hs); i++ {
+		l, h := cut(lo, hi, len(hs), i)
+		joins = append(joins, hs[i].start.StartForCtx(ctx, l, h, grain, body))
 	}
-	var fe firstErr
-	var wg sync.WaitGroup
-	for i := 1; i < parts; i++ {
-		l, h := cut(lo, hi, parts, i)
-		hd := handles[i]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer release(hd)
-			fe.record(hd.exec.ParallelForCtx(ctx, l, h, grain, body))
-		}()
-	}
-	// Part 0 runs on the calling goroutine, keeping the submitter on
-	// the help-first path of its own shard.
-	l, h := cut(lo, hi, parts, 0)
-	fe.record(handles[0].exec.ParallelForCtx(ctx, l, h, grain, body))
-	release(handles[0])
-	wg.Wait()
-	return fe.err
+	l, h := cut(lo, hi, len(hs), 0)
+	err = hs[0].exec.ParallelForCtx(ctx, l, h, grain, body)
+	release(hs[0])
+	return joinParts(hs, joins, err, func(float64) {})
 }
 
 // ParallelReduceCtx splits the reduction like ParallelForCtx and folds
-// the per-shard partial results with combine. combine must be
-// associative and commutative; on error the identity is returned.
+// the per-shard partial results with combine, in part order. combine
+// must be associative and commutative; on error the identity is
+// returned.
 func (r *Resolver) ParallelReduceCtx(ctx context.Context, lo, hi, grain int, identity float64,
 	body func(l, h int, acc float64) float64,
 	combine func(a, b float64) float64) (float64, error) {
@@ -358,41 +404,23 @@ func (r *Resolver) ParallelReduceCtx(ctx context.Context, lo, hi, grain int, ide
 	if lo >= hi {
 		return identity, ctx.Err()
 	}
-	key := submitterKey()
-	parts := r.parts(hi - lo)
-	handles, err := r.acquireParts(parts, key)
+	var hbuf [inlineParts]*handle
+	hs, err := r.acquireParts(hbuf[:0], hi-lo, grain)
 	if err != nil {
 		return identity, err
 	}
-	if parts == 1 {
-		defer release(handles[0])
-		return handles[0].exec.ParallelReduceCtx(ctx, lo, hi, grain, identity, body, combine)
+	var jbuf [inlineParts - 1]sched.Join
+	joins := jbuf[:0]
+	for i := 1; i < len(hs); i++ {
+		l, h := cut(lo, hi, len(hs), i)
+		joins = append(joins, hs[i].start.StartReduceCtx(ctx, l, h, grain, identity, body, combine))
 	}
-	partials := make([]float64, parts)
-	var fe firstErr
-	var wg sync.WaitGroup
-	run := func(i int) {
-		l, h := cut(lo, hi, parts, i)
-		v, err := handles[i].exec.ParallelReduceCtx(ctx, l, h, grain, identity, body, combine)
-		partials[i] = v
-		fe.record(err)
-		release(handles[i])
-	}
-	for i := 1; i < parts; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			run(i)
-		}()
-	}
-	run(0)
-	wg.Wait()
-	if fe.err != nil {
-		return identity, fe.err
-	}
-	acc := identity
-	for _, v := range partials {
-		acc = combine(acc, v)
+	l, h := cut(lo, hi, len(hs), 0)
+	v, err := hs[0].exec.ParallelReduceCtx(ctx, l, h, grain, identity, body, combine)
+	release(hs[0])
+	acc := combine(identity, v)
+	if err = joinParts(hs, joins, err, func(v float64) { acc = combine(acc, v) }); err != nil {
+		return identity, err
 	}
 	return acc, nil
 }
@@ -405,7 +433,11 @@ func (r *Resolver) SubmitCtx(ctx context.Context, fn func()) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	h, err := r.acquire(submitterKey())
+	set, err := r.routable()
+	if err != nil {
+		return err
+	}
+	h, err := r.acquire(set, r.key())
 	if err != nil {
 		return err
 	}
@@ -427,14 +459,14 @@ func (r *Resolver) SubmitCtx(ctx context.Context, fn func()) error {
 // submitted to a shard directly), and returns the first failure.
 func (r *Resolver) Quiesce() error {
 	err := r.async.Wait()
-	shards, rerr := r.routable()
+	set, rerr := r.routable()
 	if rerr != nil {
 		if err != nil {
 			return err
 		}
 		return rerr
 	}
-	for _, h := range shards {
+	for _, h := range set.hs {
 		if e := h.exec.Quiesce(); e != nil && err == nil {
 			err = e
 		}
@@ -447,14 +479,12 @@ func (r *Resolver) Quiesce() error {
 // Close is idempotent.
 func (r *Resolver) Close() {
 	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
+	cur := r.set.Swap(nil)
+	r.mu.Unlock()
+	if cur == nil {
 		return
 	}
-	r.closed = true
-	shards := r.live
-	r.live = nil
-	r.mu.Unlock()
+	shards := cur.hs
 	for _, h := range shards {
 		h.retired.Store(true)
 	}
@@ -472,9 +502,7 @@ func (r *Resolver) Close() {
 // Resolver used as a shard of an outer Resolver still feeds its
 // least-loaded balancer.
 func (r *Resolver) PendingWork() int64 {
-	r.mu.Lock()
-	shards := r.live
-	r.mu.Unlock()
+	shards := r.shards()
 	var sum int64
 	for _, h := range shards {
 		sum += h.load()
@@ -487,9 +515,7 @@ func (r *Resolver) PendingWork() int64 {
 // With ParkedWorkers and PendingWork it lets a sharded deployment sit
 // behind the metrics stall watchdog like a single pool.
 func (r *Resolver) Workers() int {
-	r.mu.Lock()
-	shards := r.live
-	r.mu.Unlock()
+	shards := r.shards()
 	var sum int
 	for _, h := range shards {
 		if wk, ok := h.exec.(interface{ Workers() int }); ok {
@@ -502,9 +528,7 @@ func (r *Resolver) Workers() int {
 // ParkedWorkers sums the parked-worker counts across routable shards
 // that report one.
 func (r *Resolver) ParkedWorkers() int {
-	r.mu.Lock()
-	shards := r.live
-	r.mu.Unlock()
+	shards := r.shards()
 	var sum int
 	for _, h := range shards {
 		if pk, ok := h.exec.(interface{ ParkedWorkers() int }); ok {
@@ -528,9 +552,7 @@ type resetter interface{ ResetStats() }
 // ShardStats returns each routable shard's counter snapshot in shard
 // id order. Shards whose executor exposes no Stats method are omitted.
 func (r *Resolver) ShardStats() []Stat {
-	r.mu.Lock()
-	shards := r.live
-	r.mu.Unlock()
+	shards := r.shards()
 	out := make([]Stat, 0, len(shards))
 	for _, h := range shards {
 		if s, ok := h.exec.(statser); ok {
@@ -552,9 +574,7 @@ func (r *Resolver) Stats() sched.Snapshot {
 
 // ResetStats zeroes every routable shard's counters.
 func (r *Resolver) ResetStats() {
-	r.mu.Lock()
-	shards := r.live
-	r.mu.Unlock()
+	shards := r.shards()
 	for _, h := range shards {
 		if rs, ok := h.exec.(resetter); ok {
 			rs.ResetStats()

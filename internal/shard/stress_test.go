@@ -5,14 +5,17 @@ package shard
 // are hot-added and drained mid-storm. The assertions are the
 // contracts that matter under churn: every loop covers its range
 // exactly once, every submission runs exactly once, reductions stay
-// correct, drains never drop assigned work, and shutdown is clean.
-// The race-sched CI job runs this file under -race.
+// correct, drains never drop assigned work — including parts started
+// on a shard but not yet joined — and shutdown is clean. The
+// race-sched CI job runs this file under -race.
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"threading/internal/forkjoin"
 	"threading/internal/worksteal"
@@ -197,5 +200,124 @@ func TestResolverDrainUnderLoad(t *testing.T) {
 	wg.Wait()
 	if got, want := covered.Load(), int64(4*10*iters); got != want {
 		t.Fatalf("covered %d iterations, want %d", got, want)
+	}
+}
+
+// closeSpy records when the Resolver closes a shard. Embedding keeps
+// the runtime's own methods, Starter included, so a spied pool still
+// starts natively.
+type closeSpy struct {
+	Executor
+	closed *atomic.Bool
+}
+
+func (c closeSpy) Close() {
+	c.closed.Store(true)
+	c.Executor.Close()
+}
+
+type spiedPool struct {
+	*worksteal.Pool
+	closed *atomic.Bool
+}
+
+func (c spiedPool) Close() {
+	c.closed.Store(true)
+	c.Pool.Close()
+}
+
+// TestResolverDrainWaitsForStartedParts holds every part of in-flight
+// loops inside its body or queued behind it — started on its shard,
+// not yet joined — and drains a shard meanwhile. The drain must not
+// close the shard until those parts are joined, and the loops must
+// still cover their ranges exactly once.
+func TestResolverDrainWaitsForStartedParts(t *testing.T) {
+	for _, mix := range []struct {
+		name  string
+		shard func(i int, closed *atomic.Bool) Executor
+	}{
+		{"pools", func(_ int, closed *atomic.Bool) Executor {
+			return spiedPool{worksteal.NewPool(1), closed}
+		}},
+		{"mixed", func(i int, closed *atomic.Bool) Executor {
+			if i%2 == 0 {
+				return spiedPool{worksteal.NewPool(1), closed}
+			}
+			return closeSpy{forkjoin.NewTeam(1), closed}
+		}},
+	} {
+		t.Run(mix.name, func(t *testing.T) {
+			var closed [3]atomic.Bool
+			r, err := New(WithBalancer(RoundRobin()), WithShards(
+				mix.shard(0, &closed[0]), mix.shard(1, &closed[1]), mix.shard(2, &closed[2])))
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			defer r.Close()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+
+			const (
+				loops = 4
+				iters = 3 * 64
+			)
+			gate := make(chan struct{})
+			var entered atomic.Int64
+			var covered atomic.Int64
+			var wg sync.WaitGroup
+			for l := 0; l < loops; l++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					// grain = one part's share: every part is one chunk,
+					// held at the gate.
+					err := r.ParallelForCtx(ctx, 0, iters, iters/3, func(lo, hi int) {
+						entered.Add(1)
+						<-gate
+						covered.Add(int64(hi - lo))
+					})
+					if err != nil {
+						t.Errorf("loop: %v", err)
+					}
+				}()
+			}
+			// Wait until some part of every loop is inside its body;
+			// started parts of the rest are queued on their shards.
+			for entered.Load() < loops {
+				runtime.Gosched()
+			}
+			for i := range closed {
+				if closed[i].Load() {
+					t.Fatalf("shard %d closed before any drain", i)
+				}
+			}
+			ids := r.Shards()
+			drained := make(chan error, 1)
+			go func() { drained <- r.Drain(ids[1]) }()
+			time.Sleep(20 * time.Millisecond)
+			// Report with Errorf: the gate must open either way, or the
+			// held loops would hang the test.
+			if closed[1].Load() {
+				t.Error("Drain closed the shard while parts assigned to it were unjoined")
+			}
+			close(gate)
+			if err := <-drained; err != nil {
+				t.Fatalf("Drain: %v", err)
+			}
+			if !closed[1].Load() {
+				t.Fatal("Drain returned without closing the shard")
+			}
+			wg.Wait()
+			if got, want := covered.Load(), int64(loops*iters); got != want {
+				t.Fatalf("covered %d iterations, want %d", got, want)
+			}
+			// The Resolver keeps routing over the remaining shards.
+			var after atomic.Int64
+			if err := r.ParallelForCtx(ctx, 0, iters, 8, func(lo, hi int) {
+				after.Add(int64(hi - lo))
+			}); err != nil || after.Load() != iters {
+				t.Fatalf("after drain: err %v, covered %d of %d", err, after.Load(), iters)
+			}
+		})
 	}
 }

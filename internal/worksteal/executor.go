@@ -3,6 +3,9 @@ package worksteal
 import (
 	"context"
 	"errors"
+
+	"threading/internal/sched"
+	"threading/internal/tracez"
 )
 
 // ErrClosed is returned by SubmitCtx on a closed pool.
@@ -50,6 +53,90 @@ func (p *Pool) ParallelReduceCtx(ctx context.Context, lo, hi, grain int, identit
 		return identity, err
 	}
 	return r.Value(), nil
+}
+
+// StartForCtx starts the region ParallelForCtx would run and returns
+// without waiting for it: the region's root task goes onto the pool's
+// inbox, where a worker picks it up. The returned handle's Wait joins
+// the region help-first (see started.Wait) and reports its first
+// failure. Every started region must be waited for, and before Close.
+func (p *Pool) StartForCtx(ctx context.Context, lo, hi, grain int, body func(l, h int)) sched.Join {
+	s := p.newStarted(ctx)
+	s.push(lo, hi, grain, func(_ *Ctx, l, h int) { body(l, h) })
+	return s
+}
+
+// StartReduceCtx starts the region ParallelReduceCtx would run and
+// returns without waiting for it. Wait returns the folded value, or
+// the identity on failure.
+func (p *Pool) StartReduceCtx(ctx context.Context, lo, hi, grain int, identity float64,
+	body func(l, h int, acc float64) float64,
+	combine func(a, b float64) float64) sched.Join {
+
+	s := p.newStarted(ctx)
+	s.red = Reducer[float64]{views: newViews(p, identity), identity: identity, combine: combine}
+	red := &s.red
+	s.push(lo, hi, grain, func(cc *Ctx, l, h int) {
+		v := red.View(cc)
+		*v = body(l, h, *v)
+	})
+	return s
+}
+
+// started is a loop region started split-phase on a pool. Its root is
+// a range task — the same record ForDAC's spawns use — so running it
+// on a worker re-enters the partitioner loop exactly as ForDAC would.
+type started struct {
+	pool *Pool
+	reg  *sched.Region
+	root frame
+	red  Reducer[float64] // zero for a loop without a reduction: its Value is 0
+}
+
+func (p *Pool) newStarted(ctx context.Context) *started {
+	if p.closed.Load() {
+		panic("worksteal: Start on closed pool")
+	}
+	return &started{pool: p, reg: sched.NewRegion(ctx)}
+}
+
+// push enqueues the region's root task on the inbox. An empty range
+// enqueues nothing, and Wait returns at once.
+func (s *started) push(lo, hi, grain int, body func(*Ctx, int, int)) {
+	if lo >= hi {
+		return
+	}
+	p := s.pool
+	if grain < 1 {
+		grain = DefaultGrain(hi-lo, p.Workers())
+	}
+	t := p.allocShared()
+	t.body, t.lo, t.hi, t.grain, t.lazy = body, lo, hi, grain, p.part == Lazy
+	t.parent, t.reg = &s.root, s.reg
+	s.root.pending.Store(1)
+	p.submit(t)
+}
+
+// Wait joins the region help-first: the caller claims a helper slot on
+// the pool and runs tasks until the root frame drains. If the worker
+// the start woke has not taken the root yet, the caller takes it from
+// the inbox itself, so a join never waits on a wake-up. With every
+// helper slot busy the caller parks, as RunCtx does.
+func (s *started) Wait() (float64, error) {
+	p := s.pool
+	if s.root.pending.Load() != 0 {
+		if hw := p.claimHelper(); hw != nil {
+			hw.ring.Record(tracez.KindHelpClaim, int64(hw.id-len(p.workers)), 0)
+			hw.syncFrame(&s.root)
+			p.releaseHelper(hw)
+		} else {
+			parkOn(&s.root)
+		}
+	}
+	if err := s.reg.Finish(); err != nil {
+		return s.red.identity, err
+	}
+	return s.red.Value(), nil
 }
 
 // SubmitCtx schedules fn as an asynchronous root task and returns

@@ -192,15 +192,17 @@ type paddedView[T any] struct {
 // worker and per help-first submitter slot, since either may execute
 // chunks.
 func NewReducer[T any](p *Pool, identity T, combine func(a, b T) T) *Reducer[T] {
-	r := &Reducer[T]{
-		views:    make([]paddedView[T], p.Workers()+MaxHelpers),
-		identity: identity,
-		combine:  combine,
+	return &Reducer[T]{views: newViews(p, identity), identity: identity, combine: combine}
+}
+
+// newViews returns one view per dedicated worker and per help-first
+// submitter slot, each holding identity.
+func newViews[T any](p *Pool, identity T) []paddedView[T] {
+	views := make([]paddedView[T], p.Workers()+MaxHelpers)
+	for i := range views {
+		views[i].v = identity
 	}
-	for i := range r.views {
-		r.views[i].v = identity
-	}
-	return r
+	return views
 }
 
 // Update folds v into the calling worker's private view.

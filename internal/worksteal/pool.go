@@ -366,6 +366,27 @@ func (w *worker) recycle(t *task) {
 	w.nfree++
 }
 
+// allocShared returns a task record for a goroutine that animates no
+// worker (a split-phase start): one from the pool-wide overflow list
+// when it has any, else a fresh allocation. Whichever worker runs the
+// record recycles it into its own arena, and spills send records back
+// to the pool-wide list, so starts and spills circulate the same
+// records.
+func (p *Pool) allocShared() *task {
+	p.freeMu.Lock()
+	t := p.freeList
+	if t != nil {
+		p.freeList = t.next
+		p.freeCount--
+	}
+	p.freeMu.Unlock()
+	if t == nil {
+		return new(task)
+	}
+	t.next = nil
+	return t
+}
+
 // refill moves up to freeTransfer records from the pool-wide list to
 // w's. Batching keeps the shared lock off the per-spawn path: it is
 // taken once per freeTransfer allocations at worst.
@@ -511,20 +532,32 @@ func (p *Pool) RunCtx(ctx context.Context, root func(*Ctx)) error {
 		hw.syncFrame(f)
 		p.releaseHelper(hw)
 	} else {
-		t := &task{fn: root, parent: f, reg: reg}
-		p.pending.Add(1)
-		p.inbox.PushBottom(t)
-		p.signalWork()
-		if f.pending.Load() != 0 {
-			var pk sched.Parker
-			f.waiter.Store(&pk)
-			for f.pending.Load() != 0 {
-				pk.Park()
-			}
-			f.waiter.Store(nil)
-		}
+		p.submit(&task{fn: root, parent: f, reg: reg})
+		parkOn(f)
 	}
 	return reg.Finish()
+}
+
+// submit enqueues a root task on the shared inbox, where any worker —
+// or a help-first joiner — takes it.
+func (p *Pool) submit(t *task) {
+	p.pending.Add(1)
+	p.inbox.PushBottom(t)
+	p.signalWork()
+}
+
+// parkOn blocks the calling goroutine, which animates no worker, until
+// f's pending count drains.
+func parkOn(f *frame) {
+	if f.pending.Load() == 0 {
+		return
+	}
+	var pk sched.Parker
+	f.waiter.Store(&pk)
+	for f.pending.Load() != 0 {
+		pk.Park()
+	}
+	f.waiter.Store(nil)
 }
 
 // claimHelper acquires a free help-first worker slot, or nil if all
