@@ -31,7 +31,11 @@ vet:
 # runtimes' concurrency contracts (joinleak, ctxdrop, lockspawn,
 # atomicmix, grainconst, legacyopts, lockorder, blockingtask,
 # racecapture, handlereuse). Fails on any unsuppressed diagnostic.
+# Also fails if any Go file outside analyzer testdata (whose fixtures
+# may be deliberately unformatted) is not gofmt-clean.
 lint:
+	@unformatted=$$(find . -name '*.go' -not -path '*/testdata/*' -not -path './.bench_build/*' -print0 | xargs -0 gofmt -l); \
+	if [ -n "$$unformatted" ]; then echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
 	$(GO) run ./cmd/threadvet ./...
 
 # Apply threadvet's suggested fixes in place (ctxdrop call rewrites,

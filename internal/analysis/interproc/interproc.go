@@ -68,8 +68,14 @@ var registry = map[string]map[string]map[string]Entry{
 			"ForEach": {TaskParams: []TaskParam{{Index: 3, Loop: true}},
 				OnCallerStack: true, Pooled: true},
 		},
+		"Scope": {
+			"Spawn": {TaskParams: []TaskParam{{Index: 0}}, OnCallerStack: true, Pooled: true},
+		},
 	},
 	"threading/internal/forkjoin": {
+		"Scope": {
+			"Spawn": {TaskParams: []TaskParam{{Index: 0}}, OnCallerStack: true, Pooled: true},
+		},
 		"Team": {
 			"Parallel":          {TaskParams: []TaskParam{{Index: 0}}, OnCallerStack: true, Pooled: true},
 			"ParallelCtx":       {TaskParams: []TaskParam{{Index: 1}}, OnCallerStack: true, Pooled: true},
@@ -94,6 +100,10 @@ var registry = map[string]map[string]map[string]Entry{
 			"TaskRun":           {TaskParams: []TaskParam{{Index: 0}}, OnCallerStack: true, Pooled: true},
 			"TaskRunCtx":        {TaskParams: []TaskParam{{Index: 1}}, OnCallerStack: true, Pooled: true},
 		},
+	},
+	// models.TaskScope is an alias of sched.TaskScope, so calls through
+	// either name resolve here.
+	"threading/internal/sched": {
 		"TaskScope": {
 			"Spawn": {TaskParams: []TaskParam{{Index: 0}}, OnCallerStack: true, Pooled: true},
 		},

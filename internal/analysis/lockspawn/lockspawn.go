@@ -42,11 +42,19 @@ var Analyzer = &analysis.Analyzer{
 // on the caller's stack, keyed by package path then receiver type.
 var submitters = map[string]map[string]map[string]bool{
 	"threading/internal/worksteal": {
-		"Pool": {"Run": true, "RunCtx": true},
-		"Ctx":  {"Spawn": true, "Sync": true, "ForDAC": true, "ForEach": true},
+		"Pool":  {"Run": true, "RunCtx": true},
+		"Ctx":   {"Spawn": true, "Sync": true, "ForDAC": true, "ForEach": true},
+		"Scope": {"Spawn": true, "Sync": true},
+	},
+	"threading/internal/forkjoin": {
+		"Scope": {"Spawn": true, "Sync": true},
 	},
 	"threading/internal/models": {
-		"Model":     {"TaskRun": true, "TaskRunCtx": true},
+		"Model": {"TaskRun": true, "TaskRunCtx": true},
+	},
+	// models.TaskScope is an alias of sched.TaskScope, so calls through
+	// either name resolve here.
+	"threading/internal/sched": {
 		"TaskScope": {"Spawn": true, "Sync": true},
 	},
 }

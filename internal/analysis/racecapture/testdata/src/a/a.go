@@ -3,6 +3,7 @@ package a
 import (
 	"context"
 
+	"threading/internal/sched"
 	"threading/internal/worksteal"
 )
 
@@ -66,6 +67,27 @@ func dacAccum(p *worksteal.Pool, xs []int) int {
 			for i := l; i < h; i++ {
 				acc += xs[i] // want `unsynchronized write to captured variable "acc" inside a Ctx.ForDAC body`
 			}
+		})
+	})
+	return acc
+}
+
+// A task spawned through a TaskScope inside a loop body runs
+// concurrently with the body's other iterations. Its body captures
+// the loop variable i: indexing by it stays disjoint (each iteration
+// has its own i), but accumulating into a captured scalar races.
+func scopeSpawnInLoop(p *worksteal.Pool, xs, out []int) int {
+	acc := 0
+	p.Run(func(c *worksteal.Ctx) {
+		c.ForDAC(0, len(xs), 0, func(cc *worksteal.Ctx, l, h int) {
+			var s sched.TaskScope = (*worksteal.Scope)(cc)
+			for i := l; i < h; i++ {
+				s.Spawn(func(sched.TaskScope) {
+					out[i] = 2 * xs[i]
+					acc += xs[i] // want `unsynchronized write to captured variable "acc" inside a Ctx.ForDAC body`
+				})
+			}
+			s.Sync()
 		})
 	})
 	return acc

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"threading/internal/sched"
 	"threading/internal/tracez"
 )
 
@@ -200,7 +201,9 @@ type taskNode struct {
 	deps    *depDomain
 }
 
-// task is one explicit task: a body plus its node in the task tree.
+// task is one explicit task: a body — a Ctx closure (fn), or a
+// runtime-neutral one spawned through a Scope (scope) — plus its node
+// in the task tree.
 // The node is embedded (node normally points at own), and finished
 // records are recycled through the executing member's freelist
 // (member.alloc / member.recycle), so in steady state an OpenMP-style
@@ -208,10 +211,11 @@ type taskNode struct {
 // nodes (their depTask graph outlives any one record), so for them
 // node points elsewhere and own stays unused.
 type task struct {
-	fn   func(*Ctx)
-	node *taskNode
-	next *task // freelist link while recycled
-	own  taskNode
+	fn    func(*Ctx)
+	scope func(sched.TaskScope)
+	node  *taskNode
+	next  *task // freelist link while recycled
+	own   taskNode
 }
 
 // Task creates an explicit task — the OpenMP "task" construct. Under
@@ -220,11 +224,17 @@ type task struct {
 // region end) on whichever member claims it; under TaskImmediate it
 // runs inline. The body receives the Ctx of the executing member.
 func (tc *Ctx) Task(fn func(*Ctx)) {
+	tk := tc.m.alloc()
+	tk.fn = fn
+	tc.spawn(tk)
+}
+
+// spawn schedules a prepared task record as a child of the current
+// task, with the shared creation bookkeeping.
+func (tc *Ctx) spawn(tk *task) {
 	t := tc.m.team
 	tc.m.st.CountSpawn()
 	tc.m.ring.Record(tracez.KindSpawn, 0, 0)
-	tk := tc.m.alloc()
-	tk.fn = fn
 	tk.node = &tk.own
 	tk.own.parent = tc.m.cur
 	tc.m.cur.children.Add(1)
@@ -235,6 +245,29 @@ func (tc *Ctx) Task(fn func(*Ctx)) {
 	}
 	tc.m.dq.PushBottom(tk)
 }
+
+// Scope is a member's Ctx seen through sched.TaskScope: Spawn is the
+// "task" construct and Sync is "taskwait", which joins exactly the
+// children of the current task — the semantics OpenMP gives the
+// paper's omp-task Fibonacci. (*Scope)(tc) is a pointer conversion, so
+// handing a Scope to a task body allocates nothing, and a spawn
+// through it draws its record from the member's arena like Task.
+type Scope Ctx
+
+// Spawn creates an explicit task running fn, equivalent to Ctx.Task;
+// fn receives the executing member's Scope.
+func (s *Scope) Spawn(fn func(sched.TaskScope)) {
+	tc := (*Ctx)(s)
+	tk := tc.m.alloc()
+	tk.scope = fn
+	tc.spawn(tk)
+}
+
+// Sync waits for the current task's children, equivalent to
+// Ctx.Taskwait.
+func (s *Scope) Sync() { (*Ctx)(s).Taskwait() }
+
+var _ sched.TaskScope = (*Scope)(nil)
 
 // Taskwait blocks until every child task created by the current task
 // (or by this member's implicit region task) has completed — the

@@ -310,7 +310,7 @@ func (m *member) recycle(tk *task) {
 		}
 		tk.own = taskNode{}
 	}
-	tk.fn, tk.node = nil, nil
+	tk.fn, tk.scope, tk.node = nil, nil, nil
 	if m.nfree >= maxFreeTasks {
 		m.spill()
 	}
@@ -554,7 +554,11 @@ func (m *member) execute(tc *Ctx, tk *task) {
 					m.reg.RecordPanic(p)
 				}
 			}()
-			tk.fn(tc)
+			if tk.scope != nil {
+				tk.scope((*Scope)(tc))
+			} else {
+				tk.fn(tc)
+			}
 		}()
 	}
 	m.cur = saved

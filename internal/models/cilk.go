@@ -212,26 +212,13 @@ func (m *cilkSpawn) ParallelReduceCtx(ctx context.Context, n int, identity float
 
 func (m *cilkSpawn) SupportsTasks() bool { return true }
 
-// cilkScope adapts worksteal spawn/sync to TaskScope.
-type cilkScope struct {
-	c *worksteal.Ctx
-}
-
-func (s *cilkScope) Spawn(fn func(TaskScope)) {
-	s.c.Spawn(func(inner *worksteal.Ctx) {
-		fn(&cilkScope{c: inner})
-	})
-}
-
-func (s *cilkScope) Sync() { s.c.Sync() }
-
 func (m *cilkSpawn) TaskRun(root func(TaskScope)) {
 	mustRun(m.TaskRunCtx(context.Background(), root))
 }
 
 func (m *cilkSpawn) TaskRunCtx(ctx context.Context, root func(TaskScope)) error {
 	return m.pool.RunCtx(ctx, func(c *worksteal.Ctx) {
-		root(&cilkScope{c: c})
+		root((*worksteal.Scope)(c))
 		// The pool's implicit sync at task return joins stragglers.
 	})
 }

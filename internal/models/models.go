@@ -102,15 +102,11 @@ type Model interface {
 }
 
 // TaskScope lets a task spawn and join children, independent of the
-// underlying runtime. Spawn and Sync must only be called by the task
-// that owns the scope.
-type TaskScope interface {
-	// Spawn schedules fn as a child task; fn receives its own scope.
-	Spawn(fn func(TaskScope))
-	// Sync blocks until all children spawned through this scope have
-	// completed.
-	Sync()
-}
+// underlying runtime. It is sched.TaskScope: cilk_spawn and omp_task
+// hand their tasks the runtime's native scope (worksteal.Scope,
+// forkjoin.Scope), so a spawn through it allocates nothing beyond the
+// caller's closure.
+type TaskScope = sched.TaskScope
 
 // Model names, as used by the benchmark harness and CLI tools.
 const (

@@ -182,22 +182,6 @@ func (m *ompTask) ParallelReduceCtx(ctx context.Context, n int, identity float64
 
 func (m *ompTask) SupportsTasks() bool { return true }
 
-// ompScope adapts forkjoin tasking to TaskScope. Each scope tracks
-// the Ctx of the member executing its task; Sync maps to taskwait,
-// which joins exactly the children of the current task — the same
-// semantics OpenMP gives the paper's omp-task Fibonacci.
-type ompScope struct {
-	tc *forkjoin.Ctx
-}
-
-func (s *ompScope) Spawn(fn func(TaskScope)) {
-	s.tc.Task(func(inner *forkjoin.Ctx) {
-		fn(&ompScope{tc: inner})
-	})
-}
-
-func (s *ompScope) Sync() { s.tc.Taskwait() }
-
 func (m *ompTask) TaskRun(root func(TaskScope)) {
 	mustRun(m.TaskRunCtx(context.Background(), root))
 }
@@ -205,7 +189,7 @@ func (m *ompTask) TaskRun(root func(TaskScope)) {
 func (m *ompTask) TaskRunCtx(ctx context.Context, root func(TaskScope)) error {
 	return m.team.ParallelCtx(ctx, func(tc *forkjoin.Ctx) {
 		tc.Master(func() {
-			root(&ompScope{tc: tc})
+			root((*forkjoin.Scope)(tc))
 			tc.Taskwait()
 		})
 	})

@@ -71,3 +71,17 @@ func (g *AsyncGroup) Wait() error {
 type Join interface {
 	Wait() (float64, error)
 }
+
+// TaskScope lets a task spawn and join children, independent of the
+// runtime underneath. Spawn and Sync must only be called by the task
+// that owns the scope. The two task runtimes implement it natively
+// (worksteal.Scope and forkjoin.Scope): the scope is the executing
+// task's own context, so a spawn through it allocates nothing beyond
+// the caller's closure.
+type TaskScope interface {
+	// Spawn schedules fn as a child task; fn receives its own scope.
+	Spawn(fn func(TaskScope))
+	// Sync blocks until all children spawned through this scope have
+	// completed.
+	Sync()
+}

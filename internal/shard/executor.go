@@ -56,9 +56,9 @@ type Executor interface {
 	Close()
 }
 
-// PendingWorker is implemented by executors that expose a conservative
-// queued-work counter. The least-loaded balancer folds it into a
-// shard's load alongside the Resolver's own in-flight count.
+// PendingWorker is implemented by executors that report how much work
+// is queued in them. The least-loaded balancer folds it into a shard's
+// load alongside the Resolver's own in-flight count.
 type PendingWorker interface {
 	PendingWork() int64
 }

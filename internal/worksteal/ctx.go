@@ -42,6 +42,29 @@ func (c *Ctx) Spawn(fn func(*Ctx)) {
 	c.push(t)
 }
 
+// Scope is a task's Ctx seen through sched.TaskScope: the scope a
+// runtime-neutral task body spawns and joins through. (*Scope)(c) is a
+// pointer conversion, so handing a Scope to a body allocates nothing,
+// and a spawn through it draws its record from the worker's arena like
+// Ctx.Spawn. The Ctx lifetime rule applies: a Scope is valid only for
+// the task invocation it was passed to.
+type Scope Ctx
+
+// Spawn schedules fn as a child task, equivalent to Ctx.Spawn; fn
+// receives the child's own Scope.
+func (s *Scope) Spawn(fn func(sched.TaskScope)) {
+	c := (*Ctx)(s)
+	t := c.worker.alloc()
+	t.scope, t.parent, t.reg = fn, c.frame, c.reg
+	c.push(t)
+}
+
+// Sync blocks until every child spawned by this task has completed,
+// equivalent to Ctx.Sync.
+func (s *Scope) Sync() { (*Ctx)(s).Sync() }
+
+var _ sched.TaskScope = (*Scope)(nil)
+
 // spawnRange schedules body over [lo, hi) as a child task without
 // materializing a closure: the arena'd task record itself is the
 // chunk descriptor (run re-enters the partitioner loop from it), so
@@ -59,7 +82,6 @@ func (c *Ctx) push(t *task) {
 	c.frame.pending.Add(1)
 	c.worker.st.CountSpawn()
 	c.worker.ring.Record(tracez.KindSpawn, 0, 0)
-	c.pool.pending.Add(1)
 	c.worker.dq.PushBottom(t)
 	c.pool.signalWork()
 }

@@ -165,7 +165,19 @@ func (p *Pool) SubmitCtx(ctx context.Context, fn func()) error {
 // join before returning.
 func (p *Pool) Quiesce() error { return p.async.Wait() }
 
-// PendingWork reports the pool's conservative count of queued-but-not-
-// taken tasks — the signal a least-loaded balancer reads when choosing
-// a shard.
-func (p *Pool) PendingWork() int64 { return p.pending.Load() }
+// PendingWork reports how many tasks are queued but not yet taken:
+// the sum of Len over every worker and helper deque plus the inbox's
+// count. It is the signal a least-loaded balancer reads when choosing
+// a shard, and the re-check a parking worker makes. It writes nothing,
+// and on Chase-Lev deques (the default) it takes no lock either, so
+// reading it costs the task path no shared-line traffic; a pool built
+// on locked deques takes each deque's lock to read its length. Like
+// any snapshot of concurrent deques it may be stale by the time it
+// returns.
+func (p *Pool) PendingWork() int64 {
+	n := p.inboxLen.Load()
+	for _, v := range p.victims {
+		n += int64(v.dq.Len())
+	}
+	return n
+}

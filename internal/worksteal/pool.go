@@ -21,8 +21,10 @@
 // Work distribution is demand-driven end to end: thieves migrate half
 // a victim's queue per visit (deque.StealHalf), submitters join
 // help-first (the goroutine calling RunCtx executes tasks until its
-// root frame drains instead of parking), and wake-ups are throttled
-// through a pending-work counter instead of broadcast scans.
+// root frame drains instead of parking), and a push wakes at most one
+// parked worker, only when nobody is already searching. No pool-wide
+// word is written per task: whether work is queued is read off the
+// deques themselves (PendingWork).
 package worksteal
 
 import (
@@ -41,21 +43,24 @@ import (
 	"threading/internal/tracez"
 )
 
-// task is one schedulable unit, in one of two shapes: a plain closure
-// (fn), the cilk_spawn form; or a loop-range descriptor (body over
-// [lo, hi) at grain), the ForDAC form — so chunk spawns carry their
-// range in the record instead of in a per-chunk closure. The task's
+// task is one schedulable unit, in one of three shapes: a plain
+// closure (fn), the cilk_spawn form; the same through the
+// runtime-neutral scope (scope), the Scope.Spawn form; or a loop-range
+// descriptor (body over [lo, hi) at grain), the ForDAC form — so chunk
+// spawns carry their range in the record instead of in a per-chunk
+// closure, and scope spawns need no adapter closure. The task's
 // own frame and context are embedded, and finished records are
 // recycled through the executing worker's freelist (worker.alloc /
 // worker.recycle), so in steady state a spawn allocates nothing: the
 // record cycles between the arena and the deques for the life of the
 // pool.
 type task struct {
-	fn     func(*Ctx)           // closure body; nil for range tasks
-	body   func(*Ctx, int, int) // range body; nil for closure tasks
-	lo, hi int                  // range bounds (body != nil)
-	grain  int                  // range grain (body != nil)
-	lazy   bool                 // range runs under the lazy partitioner
+	fn     func(*Ctx)            // closure body; nil for other shapes
+	scope  func(sched.TaskScope) // scope body; nil for other shapes
+	body   func(*Ctx, int, int)  // range body; nil for other shapes
+	lo, hi int                   // range bounds (body != nil)
+	grain  int                   // range grain (body != nil)
+	lazy   bool                  // range runs under the lazy partitioner
 	parent *frame
 	reg    *sched.Region
 	next   *task // freelist link while recycled
@@ -229,12 +234,14 @@ type Pool struct {
 	freeList  *task
 	freeCount int
 
-	// Shared hot counters, each padded onto its own cache line: every
-	// spawn and every take bumps pending, every idle transition bumps
-	// searching or parkedCount — packed together (as they used to be)
-	// the three lines' traffic collapses onto one contended line.
+	// Idle-state counters, each padded onto its own cache line: every
+	// idle transition bumps searching or parkedCount, and every push
+	// reads both. Spawns and takes write neither. inboxLen counts the
+	// inbox's tasks, so that searches, parkers and balancer probes
+	// read it without the inbox lock; only submissions and inbox takes
+	// write it, and those take that lock anyway.
 	_           [sched.CacheLine]byte
-	pending     atomic.Int64 // queued-but-not-taken tasks (conservative)
+	inboxLen    atomic.Int64
 	_           [sched.CacheLine - 8]byte
 	searching   atomic.Int64 // workers in the idle find-work phase
 	_           [sched.CacheLine - 8]byte
@@ -354,7 +361,7 @@ func (w *worker) alloc() *task {
 // that straggler at worst spuriously unparks the record's next owner,
 // whose park loops all recheck their condition.
 func (w *worker) recycle(t *task) {
-	t.fn, t.body = nil, nil // don't pin dead closures through the arena
+	t.fn, t.scope, t.body = nil, nil, nil // don't pin dead closures through the arena
 	t.parent, t.reg = nil, nil
 	t.ctx = Ctx{}
 	t.own.waiter.Store(nil) // pending already drained by the implicit sync
@@ -541,8 +548,8 @@ func (p *Pool) RunCtx(ctx context.Context, root func(*Ctx)) error {
 // submit enqueues a root task on the shared inbox, where any worker —
 // or a help-first joiner — takes it.
 func (p *Pool) submit(t *task) {
-	p.pending.Add(1)
 	p.inbox.PushBottom(t)
+	p.inboxLen.Add(1)
 	p.signalWork()
 }
 
@@ -580,11 +587,25 @@ func (p *Pool) releaseHelper(hw *worker) {
 }
 
 // signalWork wakes one parked worker, unless some worker is already
-// searching for work (it will find the new task on its sweep). This
-// pending-counter wake throttle replaces the O(workers) unparkAll
-// broadcast the scheduler used to perform on every submission.
+// searching for work (it will find the new task on its sweep). Every
+// push calls it after a seq-cst store that makes the task visible to
+// PendingWork (a Chase-Lev deque's bottom, inboxLen, or a locked
+// deque's lock release); a parker publishes parkedCount before it
+// scans the deques (loop). Of the two store-then-load pairs at least one sees
+// the other's store, so either the pusher wakes the parker or the
+// parker finds the task: no wake-up is lost.
 func (p *Pool) signalWork() {
 	if p.searching.Load() == 0 && p.parkedCount.Load() > 0 {
+		p.unparkOne()
+	}
+}
+
+// signalLeftover is signalWork after a take that may have left work
+// queued: it wakes a parked worker only if some deque or the inbox is
+// still non-empty. The idle-state loads go first, so a take with
+// nobody parked scans nothing.
+func (p *Pool) signalLeftover() {
+	if p.searching.Load() == 0 && p.parkedCount.Load() > 0 && p.PendingWork() > 0 {
 		p.unparkOne()
 	}
 }
@@ -632,7 +653,14 @@ func (w *worker) loop() {
 	for {
 		t := w.findWork()
 		if t != nil {
-			setSearch(false)
+			if searching {
+				// findWork's wake propagation was muted by our own
+				// searching flag; owe it now that we stop searching, or
+				// a batch we just requeued could sit behind a parked
+				// worker.
+				setSearch(false)
+				w.pool.signalLeftover()
+			}
 			idle = 0
 			w.run(t)
 			continue
@@ -648,14 +676,14 @@ func (w *worker) loop() {
 			return
 		}
 		// Stop advertising as searching before publishing parked
-		// state: a submitter that reads searching == 0 is then
-		// guaranteed to read parkedCount > 0 and wake us, and the
-		// pending re-check below closes the race against a submitter
-		// that enqueued before our parked flag became visible.
+		// state: a pusher that reads searching == 0 is then guaranteed
+		// to read parkedCount > 0 and wake us, and the deque scan
+		// below closes the race against a pusher that stored its task
+		// before our parked state became visible (see signalWork).
 		setSearch(false)
 		w.pool.parkedCount.Add(1)
 		w.parked.Store(true)
-		if w.pool.pending.Load() > 0 || w.pool.closed.Load() {
+		if w.pool.PendingWork() > 0 || w.pool.closed.Load() {
 			w.parked.Store(false)
 			w.pool.parkedCount.Add(-1)
 			idle = 0
@@ -679,15 +707,16 @@ func (w *worker) loop() {
 // rest locally where other thieves can take them.
 func (w *worker) findWork() *task {
 	if t := w.dq.PopBottom(); t != nil {
-		w.pool.pending.Add(-1)
 		return t
 	}
-	if t := w.pool.inbox.Steal(); t != nil {
-		w.pool.pending.Add(-1)
-		if w.pool.pending.Load() > 0 {
-			w.pool.signalWork()
+	// The inbox's count is read first: its mutex is a pool-wide line
+	// that every empty-handed search would otherwise write.
+	if w.pool.inboxLen.Load() > 0 {
+		if t := w.pool.inbox.Steal(); t != nil {
+			w.pool.inboxLen.Add(-1)
+			w.pool.signalLeftover()
+			return t
 		}
-		return t
 	}
 	victims := w.pool.victims
 	n := len(victims)
@@ -712,12 +741,9 @@ func (w *worker) findWork() *task {
 		}
 		t := w.stealBuf[0]
 		w.stealBuf[0] = nil
-		w.pool.pending.Add(-1) // took k, requeued k-1
-		if k > 1 || w.pool.pending.Load() > 0 {
-			// The batch we just requeued (or work still queued
-			// elsewhere) can feed another thief: propagate the wake.
-			w.pool.signalWork()
-		}
+		// The batch we just requeued (or work still queued elsewhere)
+		// can feed another thief: propagate the wake.
+		w.pool.signalLeftover()
 		return t
 	}
 	w.st.CountFailedSteal()
@@ -792,6 +818,8 @@ func (w *worker) run(t *task) {
 				} else {
 					c.forDAC(t.lo, t.hi, t.grain, t.body)
 				}
+			} else if t.scope != nil {
+				t.scope((*Scope)(c))
 			} else {
 				t.fn(c)
 			}
